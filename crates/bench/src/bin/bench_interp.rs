@@ -27,7 +27,10 @@
 //! deque-vs-single-channel A/B (`speedup_steal_vs_channel`) and the
 //! futures run's `local_pushes`/`tasks_stolen` counters. Entries are
 //! appended with the git commit, the parallel thread count and the host
-//! CPU count so the trajectory stays attributable.
+//! CPU count so the trajectory stays attributable, and with a `gates`
+//! array (`{name, value, floor|ceiling, pass}` per gate, evaluated
+//! before the entry is written) so a failing run is visible in the
+//! trajectory itself.
 
 use cfront::parser::parse;
 use cinterp::{Engine, InterpOptions, Program, RunResult};
@@ -294,6 +297,55 @@ fn tier_variants(base: InterpOptions) -> Vec<(&'static str, InterpOptions, bool)
 
 fn num(v: f64) -> Value {
     Value::Num(v)
+}
+
+/// One CI gate's verdict: recorded in the trajectory entry as
+/// `{name, value, floor|ceiling, pass}` and reported on stderr.
+struct Gate {
+    name: String,
+    /// Human-readable description for the stderr report.
+    what: String,
+    value: f64,
+    /// `"floor"` (the value must reach the bound) or `"ceiling"` (it
+    /// must stay under it).
+    kind: &'static str,
+    bound: f64,
+    pass: bool,
+}
+
+impl Gate {
+    /// A missing measurement (NaN) fails.
+    fn floor(name: String, what: String, value: f64, floor: f64) -> Gate {
+        Gate {
+            name,
+            what,
+            value,
+            kind: "floor",
+            bound: floor,
+            pass: !value.is_nan() && value >= floor,
+        }
+    }
+
+    /// Ceilings keep each gate's own strictness, so `pass` is given.
+    fn ceiling(name: String, what: String, value: f64, ceiling: f64, pass: bool) -> Gate {
+        Gate {
+            name,
+            what,
+            value,
+            kind: "ceiling",
+            bound: ceiling,
+            pass,
+        }
+    }
+
+    fn to_json(&self) -> Value {
+        Value::Object(vec![
+            ("name".to_string(), Value::Str(self.name.clone())),
+            ("value".to_string(), num(self.value)),
+            (self.kind.to_string(), num(self.bound)),
+            ("pass".to_string(), Value::Bool(self.pass)),
+        ])
+    }
 }
 
 /// Thread count of every parallel variant — also recorded in each
@@ -782,6 +834,170 @@ fn main() {
         );
     }
 
+    // Gates are evaluated *before* the entry is written so every entry
+    // carries its own verdicts (`gates`): a red run is visible in the
+    // trajectory, not only in the exit status. Every gate is reported,
+    // then the run exits non-zero if any failed.
+    let mut gates: Vec<Gate> = Vec::new();
+    fn find<S: AsRef<str>>(v: &[(S, f64)], name: &str) -> f64 {
+        v.iter()
+            .find(|(n, _)| n.as_ref() == name)
+            .map_or(f64::NAN, |(_, s)| *s)
+    }
+
+    // CI smoke: the VM must beat the resolved engine where dispatch
+    // dominates; a regression here fails the build. The floors *rose*
+    // when the tier-3.5 optimizer landed (pre-optimizer the varaccess
+    // gate was 1.0×; measured post-optimizer quick-mode ratios sit well
+    // above these, the slack absorbs shared-runner noise). A missing
+    // case yields NaN and fails.
+    const TIER_FLOORS: &[(&str, f64)] = &[("varaccess", 1.5), ("matmul64", 1.3), ("arraysum", 1.3)];
+    for (name, floor) in TIER_FLOORS {
+        gates.push(Gate::floor(
+            format!("tier.{name}"),
+            format!("{name} bytecode speedup vs resolved (x)"),
+            find(&tier_speedups, name),
+            *floor,
+        ));
+    }
+    // The optimizer itself must pay for its dispatch savings: optimized
+    // bytecode may not lose to the raw lowering on the A/B cases. The
+    // dispatch-bound cases get a tight floor (small tolerance for
+    // wall-clock noise on shared runners); matmul64 is bound by counted
+    // float ops and the memo machinery, so its optimizer win is ~1.0× in
+    // the noise band — its floor only catches a catastrophic regression.
+    const OPT_FLOORS: &[(&str, f64)] =
+        &[("varaccess", 0.95), ("matmul64", 0.80), ("arraysum", 0.95)];
+    for (name, floor) in OPT_FLOORS {
+        gates.push(Gate::floor(
+            format!("opt.{name}"),
+            format!("{name} optimizer speedup vs --no-opt (x)"),
+            find(&opt_speedups, name),
+            *floor,
+        ));
+    }
+
+    // CI smoke: the always-on dataflow-lint pass must stay cheap — under
+    // 5% of the end-to-end matmul64 lowering. (The race-verdict tier
+    // pays for itself by letting the engines skip the dynamic race
+    // pre-pass; the lints are pure overhead and get the hard gate.)
+    let lint_frac = matmul_lint_secs / matmul_compile_secs;
+    gates.push(Gate::ceiling(
+        "lint_share.matmul64".to_string(),
+        format!(
+            "always-on lint share of the matmul64 compile ({:.0}us of {:.0}us)",
+            matmul_lint_secs * 1e6,
+            matmul_compile_secs * 1e6
+        ),
+        lint_frac,
+        0.05,
+        lint_frac < 0.05,
+    ));
+
+    // CI smoke: the pooled runtime must beat spawn-per-region where
+    // region-launch overhead dominates — the persistent-pool routing is
+    // a perf claim, and this gate keeps it true.
+    gates.push(Gate::floor(
+        "pool.region_heavy".to_string(),
+        "region_heavy pooled speedup vs spawn-per-region (x)".to_string(),
+        pool_speedup,
+        1.0,
+    ));
+
+    // CI smoke: pure-call futures must actually parallelize the two
+    // divide-and-conquer benchmarks — statement-level sites
+    // (fib_futures) and expression-level sites over the work-stealing
+    // deques (treesum_expr). The bar depends on the host's CPU budget —
+    // the subsystem cannot conjure cores: ≥ 2× on ≥ 4 CPUs (full runs;
+    // quick-mode problem sizes are too small to amortize spawn overhead
+    // at full margin, so the bar drops to 1.1×), ≥ 1× on 2–3 CPUs, and
+    // on a single CPU the number is recorded but not gated.
+    let required = match (host_cpus, quick) {
+        (0..=1, _) => None,
+        (2..=3, _) => Some(1.0),
+        (_, true) => Some(1.1),
+        (_, false) => Some(2.0),
+    };
+    for (case, speedup) in [
+        ("fib_futures", futures_speedup),
+        ("treesum_expr", treesum_speedup),
+    ] {
+        match required {
+            Some(bar) => gates.push(Gate::floor(
+                format!("futures.{case}"),
+                format!("{case} speedup with futures on 4 threads, {host_cpus} CPUs (x)"),
+                speedup,
+                bar,
+            )),
+            None => eprintln!(
+                "{case} speedup with futures on 4 threads: {speedup:.2}x \
+                 (not gated: single-CPU host)"
+            ),
+        }
+    }
+
+    // CI smoke: the schedule-aware lowering must beat the literal
+    // skeletons. Single-threaded matmul gets the hard floor (the
+    // AffineFor index streams and hoisted bounds shave dispatches even
+    // with no parallelism in play); heat's stencil is load-bound, so
+    // its single-threaded floor only catches a real regression. The
+    // parallel legs additionally exercise the fused regions (fewer join
+    // barriers) but depend on the host's CPU budget, so they relax to
+    // "recorded, not gated" on a single-CPU runner.
+    const POLY_SEQ_FLOORS: &[(&str, f64)] = &[("matmul128_poly", 1.15), ("heat_poly", 0.95)];
+    for (name, floor) in POLY_SEQ_FLOORS {
+        gates.push(Gate::floor(
+            format!("poly_seq.{name}"),
+            format!("{name} poly speedup vs literal, 1 thread (x)"),
+            find(&poly_seq_speedups, name),
+            *floor,
+        ));
+    }
+    for (name, s) in &poly_par_speedups {
+        if host_cpus < 2 {
+            eprintln!(
+                "{name} poly speedup vs literal (4 threads): {s:.2}x (not gated: single-CPU host)"
+            );
+        } else {
+            gates.push(Gate::floor(
+                format!("poly_par.{name}"),
+                format!("{name} poly speedup vs literal, 4 threads (x)"),
+                *s,
+                0.95,
+            ));
+        }
+    }
+    // CI smoke: the transform itself must stay cheap — the bounded
+    // Fourier–Motzkin elimination caps the constraint blow-up, and this
+    // gate pins the resulting compile-time budget: the polyhedral share
+    // of the chain compile stays under 250 ms even on the 128³ nest.
+    const POLY_COMPILE_CAP_MS: f64 = 250.0;
+    for (name, delta) in &poly_compile_deltas {
+        let ms = delta * 1e3;
+        gates.push(Gate::ceiling(
+            format!("poly_compile_ms.{name}"),
+            format!("{name} polyhedral compile share (ms)"),
+            ms,
+            POLY_COMPILE_CAP_MS,
+            ms < POLY_COMPILE_CAP_MS,
+        ));
+    }
+
+    // CI smoke: a live trace session must stay cheap — every probe is
+    // one branch plus a buffered append, so a traced run may cost at
+    // most 15% over the probes-off run. (The probes-*off* cost has no
+    // separate gate: it is folded into the tier floors above.)
+    const TRACED_CEILING: f64 = 1.15;
+    for (name, ratio) in &traced_ratios {
+        gates.push(Gate::ceiling(
+            format!("traced.{name}"),
+            format!("{name} traced-vs-untraced ratio (x)"),
+            *ratio,
+            TRACED_CEILING,
+            !ratio.is_nan() && *ratio <= TRACED_CEILING,
+        ));
+    }
+
     let unix_time = SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_secs())
@@ -825,6 +1041,10 @@ fn main() {
         ("poly_ab".to_string(), Value::Object(poly_fields)),
         ("traced_ab".to_string(), Value::Object(traced_fields)),
         ("benchmarks".to_string(), Value::Array(bench_values)),
+        (
+            "gates".to_string(),
+            Value::Array(gates.iter().map(Gate::to_json).collect()),
+        ),
     ]);
 
     // Trajectory: append to the existing history. A pre-trajectory file
@@ -859,198 +1079,17 @@ fn main() {
     std::fs::write(&out_path, json + "\n").expect("write BENCH_interp.json");
     println!("wrote {out_path}");
 
-    // CI smoke: the VM must beat the resolved engine where dispatch
-    // dominates; a regression here fails the build. The floors *rose*
-    // when the tier-3.5 optimizer landed (pre-optimizer the varaccess
-    // gate was 1.0×; measured post-optimizer quick-mode ratios sit well
-    // above these, the slack absorbs shared-runner noise). A missing
-    // case yields no entry and fails via `required`.
-    const TIER_FLOORS: &[(&str, f64)] = &[("varaccess", 1.5), ("matmul64", 1.3), ("arraysum", 1.3)];
-    for (name, floor) in TIER_FLOORS {
-        let s = tier_speedups
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, s)| *s)
-            .unwrap_or(f64::NAN);
-        if s.is_nan() || s < *floor {
-            eprintln!(
-                "FAIL: bytecode VM speedup vs resolved on {name} is {s:.2}x \
-                 (floor {floor:.2}x)"
-            );
-            std::process::exit(1);
-        }
-        eprintln!("{name} bytecode speedup vs resolved: {s:.2}x (floor {floor:.2}x)");
-    }
-    // The optimizer itself must pay for its dispatch savings: optimized
-    // bytecode may not lose to the raw lowering on the A/B cases. The
-    // dispatch-bound cases get a tight floor (small tolerance for
-    // wall-clock noise on shared runners); matmul64 is bound by counted
-    // float ops and the memo machinery, so its optimizer win is ~1.0× in
-    // the noise band — its floor only catches a catastrophic regression.
-    const OPT_FLOORS: &[(&str, f64)] =
-        &[("varaccess", 0.95), ("matmul64", 0.80), ("arraysum", 0.95)];
-    for (name, floor) in OPT_FLOORS {
-        let s = opt_speedups
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, s)| *s)
-            .unwrap_or(f64::NAN);
-        if s.is_nan() || s < *floor {
-            eprintln!(
-                "FAIL: optimized bytecode vs --no-opt on {name} is {s:.2}x \
-                 (floor {floor:.2}x)"
-            );
-            std::process::exit(1);
-        }
-        eprintln!("{name} optimizer speedup vs --no-opt: {s:.2}x (floor {floor:.2}x)");
-    }
-
-    // CI smoke: the always-on dataflow-lint pass must stay cheap — under
-    // 5% of the end-to-end matmul64 lowering. (The race-verdict tier
-    // pays for itself by letting the engines skip the dynamic race
-    // pre-pass; the lints are pure overhead and get the hard gate.)
-    let lint_frac = matmul_lint_secs / matmul_compile_secs;
-    if lint_frac >= 0.05 {
+    let mut failed = 0;
+    for g in &gates {
+        let verdict = if g.pass { "ok  " } else { "FAIL" };
         eprintln!(
-            "FAIL: always-on lint pass is {:.1}% of the matmul64 compile \
-             ({:.0}us of {:.0}us; cap 5%)",
-            lint_frac * 100.0,
-            matmul_lint_secs * 1e6,
-            matmul_compile_secs * 1e6
+            "{verdict} {}: {:.3} ({} {})",
+            g.what, g.value, g.kind, g.bound
         );
+        failed += usize::from(!g.pass);
+    }
+    if failed > 0 {
+        eprintln!("FAIL: {failed} of {} gates failed", gates.len());
         std::process::exit(1);
-    }
-    eprintln!(
-        "matmul64 compile {:.0}us, analysis {:.0}us, lint share {:.1}% (cap 5%)",
-        matmul_compile_secs * 1e6,
-        matmul_analysis_secs * 1e6,
-        lint_frac * 100.0
-    );
-
-    // CI smoke: the pooled runtime must beat spawn-per-region where
-    // region-launch overhead dominates — the persistent-pool routing is
-    // a perf claim, and this gate keeps it true.
-    if pool_speedup.is_nan() || pool_speedup < 1.0 {
-        eprintln!(
-            "FAIL: pooled runtime not faster than spawn-per-region on \
-             region_heavy (speedup {pool_speedup:.2}x < 1.0x)"
-        );
-        std::process::exit(1);
-    }
-    eprintln!("region_heavy pooled speedup vs spawn-per-region: {pool_speedup:.2}x");
-
-    // CI smoke: pure-call futures must actually parallelize the two
-    // divide-and-conquer benchmarks — statement-level sites
-    // (fib_futures) and expression-level sites over the work-stealing
-    // deques (treesum_expr). The bar depends on the host's CPU budget —
-    // the subsystem cannot conjure cores: ≥ 2× on ≥ 4 CPUs (full runs;
-    // quick-mode problem sizes are too small to amortize spawn overhead
-    // at full margin, so the bar drops to 1.1×), ≥ 1× on 2–3 CPUs, and
-    // on a single CPU the number is recorded but not gated.
-    let required = match (host_cpus, quick) {
-        (0..=1, _) => None,
-        (2..=3, _) => Some(1.0),
-        (_, true) => Some(1.1),
-        (_, false) => Some(2.0),
-    };
-    let gate_futures = |case: &str, speedup: f64| match required {
-        Some(bar) if speedup.is_nan() || speedup < bar => {
-            eprintln!(
-                "FAIL: pure-call futures speedup {speedup:.2}x < {bar:.1}x \
-                 on {case} ({host_cpus} CPUs)"
-            );
-            std::process::exit(1);
-        }
-        Some(bar) => {
-            eprintln!(
-                "{case} speedup with futures on 4 threads: {speedup:.2}x \
-                 (gate {bar:.1}x, {host_cpus} CPUs)"
-            );
-        }
-        None => {
-            eprintln!(
-                "{case} speedup with futures on 4 threads: {speedup:.2}x \
-                 (not gated: single-CPU host)"
-            );
-        }
-    };
-    gate_futures("fib_futures", futures_speedup);
-    gate_futures("treesum_expr", treesum_speedup);
-
-    // CI smoke: the schedule-aware lowering must beat the literal
-    // skeletons. Single-threaded matmul gets the hard floor (the
-    // AffineFor index streams and hoisted bounds shave dispatches even
-    // with no parallelism in play); heat's stencil is load-bound, so
-    // its single-threaded floor only catches a real regression. The
-    // parallel legs additionally exercise the fused regions (fewer join
-    // barriers) but depend on the host's CPU budget, so they relax to
-    // "recorded, not gated" on a single-CPU runner.
-    const POLY_SEQ_FLOORS: &[(&str, f64)] = &[("matmul128_poly", 1.15), ("heat_poly", 0.95)];
-    for (name, floor) in POLY_SEQ_FLOORS {
-        let s = poly_seq_speedups
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, s)| *s)
-            .unwrap_or(f64::NAN);
-        if s.is_nan() || s < *floor {
-            eprintln!(
-                "FAIL: poly-vs-literal speedup on {name} (1 thread) is {s:.2}x \
-                 (floor {floor:.2}x)"
-            );
-            std::process::exit(1);
-        }
-        eprintln!("{name} poly speedup vs literal (1 thread): {s:.2}x (floor {floor:.2}x)");
-    }
-    for (name, s) in &poly_par_speedups {
-        if host_cpus < 2 {
-            eprintln!(
-                "{name} poly speedup vs literal (4 threads): {s:.2}x (not gated: single-CPU host)"
-            );
-        } else if s.is_nan() || *s < 0.95 {
-            eprintln!(
-                "FAIL: poly-vs-literal speedup on {name} (4 threads) is {s:.2}x \
-                 (floor 0.95x)"
-            );
-            std::process::exit(1);
-        } else {
-            eprintln!("{name} poly speedup vs literal (4 threads): {s:.2}x (floor 0.95x)");
-        }
-    }
-    // CI smoke: the transform itself must stay cheap — the bounded
-    // Fourier–Motzkin elimination caps the constraint blow-up, and this
-    // gate pins the resulting compile-time budget: the polyhedral share
-    // of the chain compile stays under 250 ms even on the 128³ nest.
-    const POLY_COMPILE_CAP_SECS: f64 = 0.25;
-    for (name, delta) in &poly_compile_deltas {
-        if *delta >= POLY_COMPILE_CAP_SECS {
-            eprintln!(
-                "FAIL: polyhedral transform adds {:.0} ms to the {name} compile \
-                 (cap {:.0} ms)",
-                delta * 1e3,
-                POLY_COMPILE_CAP_SECS * 1e3
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "{name} polyhedral compile share: {:.1} ms (cap {:.0} ms)",
-            delta * 1e3,
-            POLY_COMPILE_CAP_SECS * 1e3
-        );
-    }
-
-    // CI smoke: a live trace session must stay cheap — every probe is
-    // one branch plus a buffered append, so a traced run may cost at
-    // most 15% over the probes-off run. (The probes-*off* cost has no
-    // separate gate: it is folded into the tier floors above.)
-    const TRACED_CEILING: f64 = 1.15;
-    for (name, ratio) in &traced_ratios {
-        if ratio.is_nan() || *ratio > TRACED_CEILING {
-            eprintln!(
-                "FAIL: traced run on {name} costs {ratio:.3}x the untraced run \
-                 (ceiling {TRACED_CEILING:.2}x)"
-            );
-            std::process::exit(1);
-        }
-        eprintln!("{name} traced-vs-untraced ratio: {ratio:.3}x (ceiling {TRACED_CEILING:.2}x)");
     }
 }

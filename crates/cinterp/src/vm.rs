@@ -290,24 +290,29 @@ struct VmFutureOut {
 /// Execute one spawned pure call on its own child VM (fresh arena,
 /// spill pool and tally; frozen memo snapshot; the spawner's call
 /// `depth`, so the stack-overflow guard trips exactly where the inline
-/// call would have). The callee is const-like — it touches no globals
-/// and no `Memory` — so this is observationally the inline call, minus
-/// *where* it runs.
+/// call would have; the spawner's pool, so the task's own spawn sites
+/// need no process-wide lookup). The callee is const-like — it touches
+/// no globals and no `Memory` — so this is observationally the inline
+/// call, minus *where* it runs.
 fn run_future_task(
     shared: VmShared,
+    pool: Arc<ThreadPool>,
     frozen: Option<Arc<HashMap<MemoKey, Scalar>>>,
     fid: u32,
     args: Vec<Scalar>,
     depth: usize,
 ) -> VmFutureOut {
+    // The task's one program handle; every call below borrows it.
+    let prog = Arc::clone(&shared.prog);
     let mut vm = Vm::new(shared);
+    vm.futures_pool = Some(pool);
     vm.memo = frozen.map(MemoShard::with_frozen);
     vm.depth = depth;
     for a in &args {
         let p = vm.pack(*a);
         vm.stack.push(p);
     }
-    let value = match vm.call_user(fid, args.len(), 0, Span::DUMMY) {
+    let value = match vm.call_user(&prog, fid, args.len(), 0, Span::DUMMY) {
         Ok(()) => {
             let v = vm.pop();
             Ok(vm.unpack(v))
@@ -346,17 +351,15 @@ pub(crate) fn run_vm(
     // Global initialisers run on an (almost always empty) frame —
     // `frame_size` is 0 from the lowerer, but the optimizer may add
     // hoist slots.
-    let prog2 = Arc::clone(prog);
-    vm.arena
-        .resize(prog2.global_code.frame_size, Packed::UNINIT);
-    vm.exec(&prog2.global_code, 0, 0)?;
+    vm.arena.resize(prog.global_code.frame_size, Packed::UNINIT);
+    vm.exec(prog, &prog.global_code, 0, 0)?;
     debug_assert!(vm.stack.is_empty() || vm.stack.len() == 1);
     vm.stack.clear();
     vm.arena.clear();
 
     let exit = match prog.by_name.get(entry) {
         Some(&fid) => {
-            vm.call_user(fid, 0, 0, Span::DUMMY)?;
+            vm.call_user(prog, fid, 0, 0, Span::DUMMY)?;
             vm.stack.pop().expect("entry result")
         }
         None => {
@@ -626,8 +629,17 @@ impl Vm {
     /// ints. Mirrors the resolved engine's integer branch bit for bit.
     #[inline]
     fn int_binop(&mut self, op: BinOp, a: i64, b: i64, span: Span) -> RtResult<Packed> {
+        let out = Self::int_arith(op, a, b, span)?;
+        self.tally.int_ops += 1;
+        Ok(Packed::pack_i64(out, &self.spill))
+    }
+
+    /// Integer operator semantics (uncounted) shared by the packed fast
+    /// path and [`Self::apply_binop`].
+    #[inline]
+    fn int_arith(op: BinOp, a: i64, b: i64, span: Span) -> RtResult<i64> {
         use BinOp::*;
-        let out = match op {
+        Ok(match op {
             Add => a.wrapping_add(b),
             Sub => a.wrapping_sub(b),
             Mul => a.wrapping_mul(b),
@@ -655,9 +667,7 @@ impl Vm {
             BitXor => a ^ b,
             BitOr => a | b,
             And | Or => unreachable!("lowered to jumps"),
-        };
-        self.tally.int_ops += 1;
-        Ok(Packed::pack_i64(out, &self.spill))
+        })
     }
 
     #[inline]
@@ -667,30 +677,37 @@ impl Vm {
         }
         let lv = self.unpack(l);
         let rv = self.unpack(r);
-        let s = self.apply_binop(op, lv, rv, span)?;
+        let s = Self::apply_binop(&mut self.tally, op, lv, rv, span)?;
         Ok(self.pack(s))
     }
 
-    /// General binary-operator semantics — a faithful copy of the
-    /// resolved engine's `apply_binop` with tally bumps in place of
-    /// shared-atomic bumps.
-    fn apply_binop(&mut self, op: BinOp, lv: Scalar, rv: Scalar, span: Span) -> RtResult<Scalar> {
+    /// General binary-operator semantics — a faithful copy of the resolved
+    /// engine's `apply_binop` with tally bumps in place of shared-atomic
+    /// bumps. Takes the tally alone (not `self`), so the global-RMW CAS
+    /// closure can run it while the globals stay borrowed from the VM.
+    fn apply_binop(
+        tally: &mut Tally,
+        op: BinOp,
+        lv: Scalar,
+        rv: Scalar,
+        span: Span,
+    ) -> RtResult<Scalar> {
         use BinOp::*;
         match (lv, rv, op) {
             (Scalar::P(p), i, Add) if !matches!(i, Scalar::P(_)) => {
-                self.tally.int_ops += 1;
+                tally.int_ops += 1;
                 return Ok(Scalar::P(p.offset(i.as_i64())));
             }
             (i, Scalar::P(p), Add) if !matches!(i, Scalar::P(_)) => {
-                self.tally.int_ops += 1;
+                tally.int_ops += 1;
                 return Ok(Scalar::P(p.offset(i.as_i64())));
             }
             (Scalar::P(p), i, Sub) if !matches!(i, Scalar::P(_)) => {
-                self.tally.int_ops += 1;
+                tally.int_ops += 1;
                 return Ok(Scalar::P(p.offset(-i.as_i64())));
             }
             (Scalar::P(a), Scalar::P(b), Sub) => {
-                self.tally.int_ops += 1;
+                tally.int_ops += 1;
                 return Ok(Scalar::I(a.index - b.index));
             }
             (Scalar::P(a), Scalar::P(b), Eq) => {
@@ -729,13 +746,12 @@ impl Vm {
                 }
                 And | Or => unreachable!("lowered to jumps"),
             };
-            self.tally.flops += 1;
+            tally.flops += 1;
             Ok(out)
         } else {
-            let a = lv.as_i64();
-            let b = rv.as_i64();
-            let packed = self.int_binop(op, a, b, span)?;
-            Ok(self.unpack(packed))
+            let out = Self::int_arith(op, lv.as_i64(), rv.as_i64(), span)?;
+            tally.int_ops += 1;
+            Ok(Scalar::I(out))
         }
     }
 
@@ -748,21 +764,23 @@ impl Vm {
             return Packed::pack_i64(i + delta, &self.spill);
         }
         let s = self.unpack(old);
-        let new = self.incdec_scalar(s, flags);
+        let new = Self::incdec_scalar(&mut self.tally, s, flags);
         self.pack(new)
     }
 
+    /// `++`/`--` on an unpacked scalar (the `IncDecGlobal` CAS body and the
+    /// non-inline path of [`Self::incdec`]).
     #[inline]
-    fn incdec_scalar(&mut self, old: Scalar, flags: u32) -> Scalar {
+    fn incdec_scalar(tally: &mut Tally, old: Scalar, flags: u32) -> Scalar {
         let delta: i64 = if flags & 1 != 0 { 1 } else { -1 };
         match old {
             Scalar::F(f) => {
-                self.tally.flops += 1;
+                tally.flops += 1;
                 Scalar::F(f + delta as f64)
             }
             Scalar::P(p) => Scalar::P(p.offset(delta)),
             other => {
-                self.tally.int_ops += 1;
+                tally.int_ops += 1;
                 Scalar::I(other.as_i64() + delta)
             }
         }
@@ -772,7 +790,14 @@ impl Vm {
 
     /// `ic` is the 1-based inline-cache slot assigned by the optimizer
     /// (0 = no cache on this call site).
-    fn call_user(&mut self, fid: u32, nargs: usize, ic: usize, span: Span) -> RtResult<()> {
+    fn call_user(
+        &mut self,
+        prog: &BytecodeProgram,
+        fid: u32,
+        nargs: usize,
+        ic: usize,
+        span: Span,
+    ) -> RtResult<()> {
         self.tally.calls += 1;
         match self.s.opts.max_call_depth {
             Some(limit) if self.depth >= limit => {
@@ -787,7 +812,6 @@ impl Vm {
             }
             _ => {}
         }
-        let prog = Arc::clone(&self.s.prog);
         let func = &prog.funcs[fid as usize];
 
         // Bind (coerced) arguments into a fresh arena frame.
@@ -818,8 +842,8 @@ impl Vm {
         // repeat calls (memo-gated — only live when a key exists).
         if ic != 0 {
             if let Some(key) = &memo_key {
-                if self.icache.len() < self.s.prog.ic_slots {
-                    self.icache.resize(self.s.prog.ic_slots, IcSlot::Cold);
+                if self.icache.len() < prog.ic_slots {
+                    self.icache.resize(prog.ic_slots, IcSlot::Cold);
                 }
                 if let IcSlot::Mono(k, v, misses) = &mut self.icache[ic - 1] {
                     if k == key {
@@ -857,7 +881,7 @@ impl Vm {
         }
 
         self.depth += 1;
-        let result = self.exec(func, fbase, 0);
+        let result = self.exec(prog, func, fbase, 0);
         self.depth -= 1;
         self.arena.truncate(fbase);
         let result = result?;
@@ -883,13 +907,12 @@ impl Vm {
         self.s.opts.futures && self.s.opts.threads > 1 && self.track.is_none()
     }
 
-    fn futures_pool(&mut self) -> Arc<ThreadPool> {
-        if let Some(p) = &self.futures_pool {
-            return Arc::clone(p);
-        }
-        let p = global_pool(self.s.opts.threads);
-        self.futures_pool = Some(Arc::clone(&p));
-        p
+    /// The process-wide pool: looked up once per VM (future-task VMs
+    /// inherit their spawner's) and then borrowed, never cloned.
+    fn futures_pool(&mut self) -> &Arc<ThreadPool> {
+        let threads = self.s.opts.threads;
+        self.futures_pool
+            .get_or_insert_with(|| global_pool(threads))
     }
 
     /// Fold a finished future into this VM: tally, memo inserts, then
@@ -908,28 +931,33 @@ impl Vm {
 
     /// Execute one `SpawnPure`: arguments are already on the operand
     /// stack (evaluated eagerly, original program order).
-    fn exec_spawn(&mut self, sp: BSpawn, base: usize, span: Span) -> RtResult<()> {
+    fn exec_spawn(
+        &mut self,
+        prog: &BytecodeProgram,
+        sp: BSpawn,
+        base: usize,
+        span: Span,
+    ) -> RtResult<()> {
         let nargs = sp.nargs as usize;
         let abs = base + sp.slot as usize;
-        let mut throttled = false;
-        if self.futures_on() {
-            // The throttle is THE hot case once every worker is busy
-            // (the granularity governor of the recursion), so it is
-            // checked before any argument marshalling: the hardware-
-            // clamped pool-wide pending cap, plus — from a pool worker
-            // — its own exposed-task budget (a handful of relaxed
-            // loads, see machine::spawn_capacity) — then the call runs
-            // inline on this VM like a plain call statement.
-            let pool = self.futures_pool();
-            throttled = !machine::spawn_capacity(&pool, self.s.opts.threads, self.s.opts.steal);
-        }
-        if !self.futures_on() || throttled {
+        let futures_on = self.futures_on();
+        // The throttle is THE hot case once every worker is busy (the
+        // granularity governor of the recursion), so it is checked
+        // before any argument marshalling: the hardware-clamped
+        // pool-wide pending cap, plus — from a pool worker — its own
+        // exposed-task budget. It borrows the cached pool and does
+        // thread-local reads plus plain atomic loads (see
+        // machine::spawn_capacity) — no shared read-modify-write, so a
+        // declined site costs what the call statement below costs.
+        let (threads, steal) = (self.s.opts.threads, self.s.opts.steal);
+        let throttled = futures_on && !machine::spawn_capacity(self.futures_pool(), threads, steal);
+        if !futures_on || throttled {
             // Exactly the original call statement: call, coerce, store.
             if throttled {
                 self.tally.futures_inlined += 1;
                 instrument::instant("future.inline", sp.fid as u64);
             }
-            self.call_user(sp.fid, nargs, 0, span)?;
+            self.call_user(prog, sp.fid, nargs, 0, span)?;
             let v = self.pop();
             let v = self.coerce_packed(sp.coerce, v);
             self.arena[abs] = v;
@@ -942,7 +970,6 @@ impl Vm {
             args.push(v.unpack(&self.spill));
         }
         self.stack.truncate(argbase);
-        let prog = Arc::clone(&self.s.prog);
         let func = &prog.funcs[sp.fid as usize];
         // Memo pre-check: a hit never spawns (mirrors `call_user`'s hit
         // path via the shared key builder).
@@ -959,14 +986,15 @@ impl Vm {
                 }
             }
         }
-        let pool = self.futures_pool();
         let frozen = self.memo.as_mut().map(|m| m.freeze());
         let shared = self.s.clone();
         let fid = sp.fid;
         let depth = self.depth;
         let args_kept = args.clone();
-        let task = move || run_future_task(shared, frozen, fid, args, depth);
-        let fut = PureFuture::spawn(&pool, self.s.opts.steal, task);
+        let pool = self.futures_pool();
+        let task_pool = Arc::clone(pool);
+        let task = move || run_future_task(shared, task_pool, frozen, fid, args, depth);
+        let fut = PureFuture::spawn(pool, steal, task);
         self.tally.futures_spawned += 1;
         if fut.pushed_local() {
             self.tally.local_pushes += 1;
@@ -1040,7 +1068,7 @@ impl Vm {
                 self.int_binop(op, a, b, span)?
             } else {
                 let xs = self.unpack(x);
-                let s = self.apply_binop(op, xs, cv, span)?;
+                let s = Self::apply_binop(&mut self.tally, op, xs, cv, span)?;
                 self.pack(s)
             }
         } else {
@@ -1062,7 +1090,13 @@ impl Vm {
     /// A/B against fetching at the top of the loop: ~4-5% faster on the
     /// dispatch-bound varaccess bench, within noise on matmul64 /
     /// arraysum / heat (see README tier-3.5 notes).
-    fn exec(&mut self, f: &BFunc, base: usize, mut pc: usize) -> RtResult<Packed> {
+    fn exec(
+        &mut self,
+        prog: &BytecodeProgram,
+        f: &BFunc,
+        base: usize,
+        mut pc: usize,
+    ) -> RtResult<Packed> {
         let mut insn = f.code[pc];
         loop {
             // Fuel check: one predictable branch and a decrement per
@@ -1082,7 +1116,7 @@ impl Vm {
                     self.stack.push(v);
                 }
                 Op::StrNew => {
-                    let s = Arc::clone(&f.strings[insn.a as usize]);
+                    let s = &f.strings[insn.a as usize];
                     let span = f.spans[pc];
                     let n = s.chars().count();
                     let p = self
@@ -1201,7 +1235,7 @@ impl Vm {
                         self.int_binop(op, a, b, f.spans[pc])?
                     } else {
                         let xs = self.unpack(x);
-                        let s = self.apply_binop(op, xs, cv, f.spans[pc])?;
+                        let s = Self::apply_binop(&mut self.tally, op, xs, cv, f.spans[pc])?;
                         self.pack(s)
                     };
                     self.stack.push(out);
@@ -1293,11 +1327,11 @@ impl Vm {
                     // pair let a concurrent RMW slip between the two and
                     // lose an update. The CAS may retry `apply_binop`;
                     // the tally snapshot keeps it counted exactly once.
-                    let globals = Arc::clone(&self.s.globals);
                     let saved_tally = self.tally;
-                    let (_, res) = globals.rmw(insn.a as usize, |old| {
-                        self.tally = saved_tally;
-                        self.apply_binop(op, old, rv, span)
+                    let tally = &mut self.tally;
+                    let (_, res) = self.s.globals.rmw(insn.a as usize, |old| {
+                        *tally = saved_tally;
+                        Self::apply_binop(tally, op, old, rv, span)
                     })?;
                     if insn.b & 0x100 == 0 {
                         let res = self.pack(res);
@@ -1325,11 +1359,11 @@ impl Vm {
                 Op::IncDecGlobal => {
                     // Atomic `++`/`--` via CAS (same torn-RMW fix as
                     // `CompoundGlobal`); tally snapshot absorbs retries.
-                    let globals = Arc::clone(&self.s.globals);
                     let saved_tally = self.tally;
-                    let (old, new) = globals.rmw(insn.a as usize, |old| {
-                        self.tally = saved_tally;
-                        Ok::<_, RuntimeError>(self.incdec_scalar(old, insn.b))
+                    let tally = &mut self.tally;
+                    let (old, new) = self.s.globals.rmw(insn.a as usize, |old| {
+                        *tally = saved_tally;
+                        Ok::<_, RuntimeError>(Self::incdec_scalar(tally, old, insn.b))
                     })?;
                     if insn.b & 4 == 0 {
                         let out = self.pack(if insn.b & 2 != 0 { new } else { old });
@@ -1386,6 +1420,7 @@ impl Vm {
                     // `b` packs `nargs | (ic_slot + 1) << 16` — the upper
                     // half is 0 on unoptimized programs.
                     self.call_user(
+                        prog,
                         insn.a,
                         (insn.b & 0xFFFF) as usize,
                         (insn.b >> 16) as usize,
@@ -1401,7 +1436,7 @@ impl Vm {
                         args.push(v.unpack(&self.spill));
                     }
                     self.stack.truncate(argbase);
-                    let name = self.s.prog.interner.resolve(Symbol(insn.a));
+                    let name = prog.interner.resolve(Symbol(insn.a));
                     let mut out = String::new();
                     match call_builtin(name, &args, &self.s.mem, &mut out) {
                         Some(Ok(v)) => {
@@ -1515,7 +1550,7 @@ impl Vm {
                 }
                 Op::SpawnPure => {
                     let sp = f.spawns[insn.a as usize];
-                    self.exec_spawn(sp, base, f.spans[pc])?;
+                    self.exec_spawn(prog, sp, base, f.spans[pc])?;
                 }
                 Op::AwaitSlot => {
                     let abs = base + insn.a as usize;
@@ -1536,7 +1571,7 @@ impl Vm {
                                     let v = self.pack(*a);
                                     self.stack.push(v);
                                 }
-                                self.call_user(p.fid, nargs, 0, span).map(|()| {
+                                self.call_user(prog, p.fid, nargs, 0, span).map(|()| {
                                     let v = self.pop();
                                     let v = self.coerce_packed(p.coerce, v);
                                     self.arena[p.abs] = v;
@@ -1568,7 +1603,7 @@ impl Vm {
                 }
                 Op::OmpRegion => {
                     let r = f.regions[insn.a as usize];
-                    self.region(f, base, &r)?;
+                    self.region(prog, f, base, &r)?;
                     pc = r.end as usize + 1;
                     insn = f.code[pc];
                     continue;
@@ -1622,7 +1657,7 @@ impl Vm {
                         self.int_binop(op, a, b, f.spans[pc])?
                     } else {
                         let xs = self.unpack(x);
-                        let s = self.apply_binop(op, xs, cv, f.spans[pc])?;
+                        let s = Self::apply_binop(&mut self.tally, op, xs, cv, f.spans[pc])?;
                         self.pack(s)
                     };
                     self.arena[base + (insn.b >> 16) as usize] = out;
@@ -1690,7 +1725,7 @@ impl Vm {
                         self.int_binop(op, a, b, f.spans[pc])?
                     } else {
                         let xs = self.unpack(x);
-                        let s = self.apply_binop(op, xs, cv, f.spans[pc])?;
+                        let s = Self::apply_binop(&mut self.tally, op, xs, cv, f.spans[pc])?;
                         self.pack(s)
                     };
                     if self.truthy(out) == ((insn.b >> 4) & 1 == 1) {
@@ -1765,7 +1800,13 @@ impl Vm {
 
     // -- parallel regions -----------------------------------------------------
 
-    fn region(&mut self, f: &BFunc, base: usize, r: &BRegion) -> RtResult<()> {
+    fn region(
+        &mut self,
+        prog: &BytecodeProgram,
+        f: &BFunc,
+        base: usize,
+        r: &BRegion,
+    ) -> RtResult<()> {
         let ubv = self.pop();
         let lbv = self.pop();
         let lb = self.to_i64(lbv);
@@ -1799,7 +1840,7 @@ impl Vm {
                 }
                 crate::interp::RaceVerdict::Unknown => {
                     instrument::instant("region.race_check", n);
-                    self.race_check(f, base, r, lb, n)?;
+                    self.race_check(prog, f, base, r, lb, n)?;
                 }
             }
         }
@@ -1844,7 +1885,7 @@ impl Vm {
             vm.arena[iter_slot] = Packed::pack_i64(lb + k as i64, &vm.spill);
             vm.steps = 0;
             vm.depth = 0;
-            if let Err(e) = vm.exec(f, 0, body_start) {
+            if let Err(e) = vm.exec(prog, f, 0, body_start) {
                 failed_ref.store(true, Ordering::Relaxed);
                 // An iteration that failed mid-batch leaves futures in
                 // flight; this worker VM is reused for the next
@@ -1898,7 +1939,15 @@ impl Vm {
     /// parallel run — same dynamic purity check as the other engines.
     /// One child VM (frame arena, spill pool, memo shard) is reused
     /// across every validated iteration and merged back once.
-    fn race_check(&mut self, f: &BFunc, base: usize, r: &BRegion, lb: i64, n: u64) -> RtResult<()> {
+    fn race_check(
+        &mut self,
+        prog: &BytecodeProgram,
+        f: &BFunc,
+        base: usize,
+        r: &BRegion,
+        lb: i64,
+        n: u64,
+    ) -> RtResult<()> {
         let mut acc = RaceAccumulator::new();
         if self.spill.len() > self.spill_floor {
             self.compact_spills();
@@ -1925,7 +1974,7 @@ impl Vm {
             child.steps = 0;
             child.depth = 0;
             child.track = Some(TrackSets::default());
-            let res = child.exec(f, 0, r.body_start as usize);
+            let res = child.exec(prog, f, 0, r.body_start as usize);
             let t = child.track.take().expect("tracking on");
             if let Err(e) = res {
                 result = Err(e);

@@ -138,6 +138,11 @@ fn hardware_width() -> usize {
 /// of `pool` (with `steal` on) is additionally subject to its own
 /// exposed-task budget, which stops any one worker from hoarding offers
 /// nobody takes.
+///
+/// A decline is thread-local reads plus plain atomic loads (the cached
+/// hardware width, this worker's exposed count, the pool's `pending`):
+/// no read-modify-write on shared data, so spawn sites declining on
+/// every CPU at once do not bounce a cache line between them.
 pub fn spawn_capacity(pool: &ThreadPool, width: usize, steal: bool) -> bool {
     let hw = hardware_width();
     if hw == 1 {
@@ -390,35 +395,82 @@ mod tests {
         assert_eq!(fut.wait().0, 11);
     }
 
-    /// The exposure budget: a worker with [`LOCAL_QUEUE_LIMIT`]
-    /// unclaimed offers outstanding gets no more capacity, and awaiting
-    /// them (revoking, here — nobody else can claim them) restores it.
+    /// Occupy `pool`'s other worker (called from a worker of a 2-worker
+    /// pool) until the returned gate is set to 2, so nothing claims the
+    /// caller's pushes meanwhile. The blocker is pushed locally and
+    /// stolen by the sibling — the caller spins until it has started.
+    fn block_sibling(pool: &ThreadPool) -> Arc<AtomicU64> {
+        let gate = Arc::new(AtomicU64::new(0));
+        let g = Arc::clone(&gate);
+        pool.submit(move || {
+            g.store(1, Ordering::Release);
+            spin_until("gate opens", || g.load(Ordering::Acquire) == 2);
+        });
+        spin_until("sibling blocked", || gate.load(Ordering::Acquire) == 1);
+        gate
+    }
+
+    /// Yield until `done` holds; a broken invariant fails the test
+    /// instead of hanging it.
+    fn spin_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Spin until only the calling task is outstanding on `pool`.
+    fn settle(pool: &ThreadPool) {
+        spin_until("pool settles", || pool.pending_tasks() == 1);
+    }
+
+    /// The exposure budget, consulted *from a pool worker* — the branch
+    /// the engines' recursive spawn sites take: a worker with
+    /// [`LOCAL_QUEUE_LIMIT`] unclaimed offers outstanding gets no more
+    /// capacity, and gets it back once they are revoked (their no-op
+    /// entries drained) or claimed by a sibling. On a 1-wide host
+    /// `spawn_capacity` never admits. Width 64: on 6+ CPUs the pool-wide
+    /// cap then sits above the 10 pending tasks, so only the exposure
+    /// budget can decline (on fewer CPUs both do).
     #[test]
     fn exposure_budget_caps_worker_spawns() {
-        let pool = Arc::new(ThreadPool::new(1, 1, 1));
+        let pool = Arc::new(ThreadPool::new(2, 1, 2));
         let p2 = Arc::clone(&pool);
+        let admits = hardware_width() > 1;
         let fut = PureFuture::spawn(&pool, true, move || {
-            // The lone worker is executing *this* closure, so nothing
-            // claims its pushes while it spawns.
-            let mut futs = Vec::new();
-            for i in 0..LOCAL_QUEUE_LIMIT as u64 {
-                futs.push((i, PureFuture::spawn(&p2, true, move || i * 2)));
-            }
+            assert_eq!(spawn_capacity(&p2, 64, true), admits, "idle worker");
+
+            // Revoked: nobody can claim while the sibling is blocked.
+            let gate = block_sibling(&p2);
+            let futs: Vec<_> = (0..LOCAL_QUEUE_LIMIT as u64)
+                .map(|i| PureFuture::spawn(&p2, true, move || i))
+                .collect();
             assert_eq!(p2.local_depth(), Some(LOCAL_QUEUE_LIMIT));
-            assert!(
-                !spawn_capacity(&p2, 64, true),
-                "a full exposure budget must refuse capacity"
-            );
-            for (i, f) in futs {
-                match f.cancel() {
-                    Ok(()) => {}
-                    Err(f) => assert_eq!(f.wait().0, i * 2),
-                }
+            assert!(!spawn_capacity(&p2, 64, true), "full exposure budget");
+            for f in futs {
+                assert!(f.cancel().is_ok(), "unclaimed futures revoke");
             }
-            assert_eq!(p2.local_depth(), Some(0), "awaits restore the budget");
-            7u64
+            assert_eq!(p2.local_depth(), Some(0), "revokes release the budget");
+            gate.store(2, Ordering::Release);
+            settle(&p2);
+            assert_eq!(spawn_capacity(&p2, 64, true), admits, "after revoke");
+
+            // Claimed: the released sibling takes every exposed future.
+            let gate = block_sibling(&p2);
+            let futs: Vec<_> = (0..LOCAL_QUEUE_LIMIT as u64)
+                .map(|i| PureFuture::spawn(&p2, true, move || i * 3))
+                .collect();
+            assert!(!spawn_capacity(&p2, 64, true), "full exposure budget");
+            gate.store(2, Ordering::Release);
+            spin_until("claims", || p2.local_depth() == Some(0));
+            let total: u64 = futs.into_iter().map(|f| f.wait().0).sum();
+            let n = LOCAL_QUEUE_LIMIT as u64;
+            assert_eq!(total, 3 * n * (n - 1) / 2);
+            settle(&p2);
+            assert_eq!(spawn_capacity(&p2, 64, true), admits, "after claim");
         });
-        assert_eq!(fut.wait().0, 7);
+        fut.wait();
     }
 
     /// Cancellation: an unclaimed future is revoked (the caller runs the

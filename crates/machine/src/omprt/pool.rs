@@ -436,12 +436,17 @@ impl ThreadPool {
     /// Worker index of the current thread **within this pool**, or
     /// `None` when called from an external thread (or a worker of a
     /// different pool).
+    ///
+    /// Thread-local reads only — no `Weak::upgrade`, whose CAS on the
+    /// core's shared strong count every spawn site would otherwise
+    /// bounce between CPUs. Comparing addresses is sound: the
+    /// thread-local `Weak` keeps the core's *allocation* alive, so no
+    /// other pool can occupy that address while it is compared.
     pub fn current_worker(&self) -> Option<usize> {
         WORKER_CTX.with(|c| {
             let b = c.borrow();
             let (weak, i) = b.as_ref()?;
-            let core = weak.upgrade()?;
-            Arc::ptr_eq(&core, &self.core).then_some(*i)
+            std::ptr::eq(weak.as_ptr(), Arc::as_ptr(&self.core)).then_some(*i)
         })
     }
 
@@ -962,5 +967,57 @@ mod tests {
         }
         c.join_group(&group);
         assert_eq!(counter.load(Ordering::Relaxed), 32);
+    }
+
+    /// What `current_worker` / `local_depth` report from a worker of
+    /// `pool`, as (worker index, current_worker, local_depth).
+    fn probe_from_worker_of(
+        runner: &ThreadPool,
+        probed: &Arc<ThreadPool>,
+    ) -> (Option<usize>, Option<usize>, Option<usize>) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let probed = Arc::clone(probed);
+        runner.submit(move || {
+            let seen = (
+                worker_index(),
+                probed.current_worker(),
+                probed.local_depth(),
+            );
+            tx.send(seen).expect("receiver alive");
+        });
+        runner.join();
+        rx.recv().expect("probe task ran")
+    }
+
+    /// `current_worker` / `local_depth` name workers of *this* pool
+    /// only: `Some(i)` on one of its own workers, `None` from an
+    /// external thread and from a worker of a different pool that is
+    /// live at the same time (the address comparison must not confuse
+    /// two pools).
+    #[test]
+    fn current_worker_is_scoped_to_its_own_pool() {
+        let a = Arc::new(ThreadPool::new(2, 1, 2));
+        let b = Arc::new(ThreadPool::new(2, 1, 2));
+        for pool in [&a, &b] {
+            assert_eq!(pool.current_worker(), None, "external thread");
+            assert_eq!(pool.local_depth(), None, "external thread");
+        }
+
+        let (idx, cur, depth) = probe_from_worker_of(&a, &a);
+        let i = idx.expect("tasks run on pool workers");
+        assert!(i < a.len());
+        assert_eq!(cur, Some(i), "own worker");
+        assert_eq!(depth, Some(0), "own worker, nothing exposed");
+
+        let (idx, cur, depth) = probe_from_worker_of(&a, &b);
+        assert!(idx.is_some());
+        assert_eq!(cur, None, "worker of another live pool");
+        assert_eq!(depth, None, "worker of another live pool");
+
+        let (idx, cur, depth) = probe_from_worker_of(&b, &a);
+        assert!(idx.is_some());
+        assert_eq!((cur, depth), (None, None), "and the other way round");
+        let (idx, cur, _) = probe_from_worker_of(&b, &b);
+        assert_eq!(cur, idx);
     }
 }

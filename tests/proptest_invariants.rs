@@ -432,7 +432,10 @@ proptest! {
     /// no-futures runs and the legacy oracle bit-for-bit on exit code
     /// and output, and (memo off, where op totals are deterministic) on
     /// executed-op counters modulo the memo/futures bookkeeping,
-    /// sequentially and on 4 threads across schedules.
+    /// sequentially and on 2 and 4 threads across schedules. Region
+    /// bodies spawning from pool workers exercise all three VM entry
+    /// points at once: the root VM, region-worker VMs and future-task
+    /// VMs.
     #[test]
     fn futures_match_no_futures_and_oracles(
         depth in 5usize..10,
@@ -482,7 +485,7 @@ proptest! {
             ["leaf", "tree"].iter().map(|s| s.to_string()).collect();
         let prog = Program::with_pure_set(&parsed.unit, &pure_set);
         prop_assert!(!prog.resolved().spawn_sites().is_empty());
-        for threads in [1usize, 4] {
+        for threads in [1usize, 2, 4] {
             let opt = |futures: bool| InterpOptions {
                 threads,
                 futures,
